@@ -133,27 +133,32 @@ func main() {
 	}
 
 	if *clusterMode {
-		runCoordinator(log, coordinatorFlags{
-			addr:          *addr,
-			defaultInsts:  *defaultInsts,
-			maxInsts:      *maxInsts,
-			cacheSize:     *cacheSize,
-			maxSweepPts:   *maxSweepPts,
-			workerSlots:   *workerSlots,
-			pointDeadline: *pointDeadline,
-			pointRetries:  *pointRetries,
-			healthEvery:   *healthEvery,
-			quarAfter:     *quarAfter,
-			quarCooldown:  *quarCooldown,
-			drainTimeout:  *drainTimeout,
-			dataDir:       *dataDir,
-			traceCacheDir: *traceCacheDir,
-			workerAPIKey:  *workerAPIKey,
-			tenants:       tenants,
-			alerts:        alerts,
-			obsScrape:     *obsScrape,
-			obsRetain:     *obsRetain,
+		coord, err := cluster.New(cluster.Config{
+			DefaultInsts:       *defaultInsts,
+			MaxInsts:           *maxInsts,
+			CacheSize:          *cacheSize,
+			MaxSweepPoints:     *maxSweepPts,
+			WorkerSlots:        *workerSlots,
+			PointDeadline:      *pointDeadline,
+			PointRetries:       *pointRetries,
+			HealthInterval:     *healthEvery,
+			QuarantineAfter:    *quarAfter,
+			QuarantineCooldown: *quarCooldown,
+			DataDir:            *dataDir,
+			TraceCacheDir:      *traceCacheDir,
+			WorkerAPIKey:       *workerAPIKey,
+			Tenants:            tenants,
+			Logger:             log,
+			Alerts:             alerts,
+			ObsScrapeInterval:  *obsScrape,
+			ObsRetention:       *obsRetain,
 		})
+		if err != nil {
+			log.Error("bad configuration", "err", err)
+			os.Exit(2)
+		}
+		coord.Start()
+		serve(log, "lvpd coordinator", *addr, coord.Handler(), *drainTimeout, coord.Shutdown, nil)
 		return
 	}
 
@@ -186,10 +191,24 @@ func main() {
 		os.Exit(2)
 	}
 	srv.Start()
+	var join func(context.Context)
+	if *joinURL != "" {
+		join = func(ctx context.Context) {
+			selfRegister(ctx, log, *joinURL, advertised(*advertiseURL, *addr), *joinAPIKey)
+		}
+	}
+	serve(log, "lvpd", *addr, srv.Handler(), *drainTimeout, srv.Shutdown, join)
+}
 
+// serve is the daemon lifecycle both modes share: listen on addr, run
+// onListen (when set) in the background, and on SIGINT/SIGTERM stop
+// accepting connections and give shutdown until drainTimeout to settle
+// in-flight work before it cancels what is left.
+func serve(log *slog.Logger, name, addr string, h http.Handler, drainTimeout time.Duration,
+	shutdown func(context.Context) error, onListen func(context.Context)) {
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Addr:              addr,
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -198,10 +217,9 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Info("lvpd listening", "addr", *addr)
-
-	if *joinURL != "" {
-		go selfRegister(ctx, log, *joinURL, advertised(*advertiseURL, *addr), *joinAPIKey)
+	log.Info(name+" listening", "addr", addr)
+	if onListen != nil {
+		go onListen(ctx)
 	}
 
 	select {
@@ -211,14 +229,14 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	log.Info("shutting down", "drain_timeout", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Info("shutting down", "drain_timeout", drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Warn("http shutdown", "err", err)
 	}
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Warn("job drain incomplete", "err", err)
+	if err := shutdown(drainCtx); err != nil {
+		log.Warn("drain incomplete", "err", err)
 	}
 	log.Info("bye")
 }
@@ -255,87 +273,6 @@ func buildLogger(format, level string, forceJSON bool) (*slog.Logger, error) {
 		return nil, fmt.Errorf("lvpd: -log-format must be text or json, got %q", format)
 	}
 	return slog.New(otrace.NewLogHandler(handler)), nil
-}
-
-type coordinatorFlags struct {
-	addr          string
-	defaultInsts  uint64
-	maxInsts      int64
-	cacheSize     int
-	maxSweepPts   int
-	workerSlots   int
-	pointDeadline time.Duration
-	pointRetries  int
-	healthEvery   time.Duration
-	quarAfter     int
-	quarCooldown  time.Duration
-	drainTimeout  time.Duration
-	dataDir       string
-	traceCacheDir string
-	workerAPIKey  string
-	tenants       *tenant.Registry
-	alerts        *tsdb.RuleSet
-	obsScrape     time.Duration
-	obsRetain     time.Duration
-}
-
-func runCoordinator(log *slog.Logger, f coordinatorFlags) {
-	coord, err := cluster.New(cluster.Config{
-		DefaultInsts:       f.defaultInsts,
-		MaxInsts:           f.maxInsts,
-		CacheSize:          f.cacheSize,
-		MaxSweepPoints:     f.maxSweepPts,
-		WorkerSlots:        f.workerSlots,
-		PointDeadline:      f.pointDeadline,
-		PointRetries:       f.pointRetries,
-		HealthInterval:     f.healthEvery,
-		QuarantineAfter:    f.quarAfter,
-		QuarantineCooldown: f.quarCooldown,
-		DataDir:            f.dataDir,
-		TraceCacheDir:      f.traceCacheDir,
-		WorkerAPIKey:       f.workerAPIKey,
-		Tenants:            f.tenants,
-		Logger:             log,
-		Alerts:             f.alerts,
-		ObsScrapeInterval:  f.obsScrape,
-		ObsRetention:       f.obsRetain,
-	})
-	if err != nil {
-		log.Error("bad configuration", "err", err)
-		os.Exit(2)
-	}
-	coord.Start()
-
-	httpSrv := &http.Server{
-		Addr:              f.addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Info("lvpd coordinator listening", "addr", f.addr)
-
-	select {
-	case err := <-errCh:
-		log.Error("http server failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	log.Info("shutting down", "drain_timeout", f.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), f.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Warn("http shutdown", "err", err)
-	}
-	if err := coord.Shutdown(drainCtx); err != nil {
-		log.Warn("sweep drain incomplete", "err", err)
-	}
-	log.Info("bye")
 }
 
 // advertised derives the URL the coordinator should dial for this

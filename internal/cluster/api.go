@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
-	"time"
 
 	otrace "repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/internal/tenant"
 )
 
 // Handler returns the coordinator's HTTP API:
@@ -36,41 +33,8 @@ import (
 // into the submitter's trace. Tenant authentication guards the /v1/
 // surface when the coordinator runs with a tenants file.
 func (c *Coordinator) Handler() http.Handler {
-	return c.tracer.Middleware(c.metricsMiddleware(c.authMiddleware(c.mux)))
-}
-
-// authMiddleware resolves the request's tenant and stores it in the
-// context, mirroring the worker daemon's middleware: only /v1/ needs a
-// key; health, metrics, and debug stay open. Worker self-registration
-// (POST /v1/cluster/workers) therefore also needs a key in
-// multi-tenant mode — workers pass it with -join-api-key.
-func (c *Coordinator) authMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := tenant.KeyFromAuth(r.Header.Get("Authorization"), r.Header.Get("X-API-Key"))
-		tn, ok := c.tenants.Authenticate(key)
-		if !ok {
-			c.mAuthFailed.Inc()
-			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
-			return
-		}
-		if name := r.Header.Get("X-Lvpd-Tenant"); name != "" && name != tn.Name {
-			if !tn.Proxy {
-				writeError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
-				return
-			}
-			attributed, ok := c.tenants.ByName(name)
-			if !ok {
-				writeError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
-				return
-			}
-			tn = attributed
-		}
-		next.ServeHTTP(w, r.WithContext(tenant.NewContext(r.Context(), tn)))
-	})
+	return c.tracer.Middleware(c.reg.InstrumentHTTP("lvpc", c.mux, c.log,
+		server.Authenticate(c.tenants, c.mAuthFailed, c.mux)))
 }
 
 // RegisterRequest is the POST /v1/cluster/workers body.
@@ -95,7 +59,7 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /v1/cluster/workers", c.handleListWorkers)
 	c.mux.HandleFunc("DELETE /v1/cluster/workers/{id}", c.handleDrainWorker)
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleStartSweep)
-	c.mux.HandleFunc("POST /v1/workloads", c.handleUploadWorkload)
+	c.mux.HandleFunc("POST /v1/workloads", server.UploadHandler(c.traces, c.tenants, c.mUploads, c.log))
 	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepStatus)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -103,18 +67,8 @@ func (c *Coordinator) routes() {
 	c.mux.Handle("GET /debug/traces", c.tracer.IndexHandler())
 	c.mux.HandleFunc("GET /debug/traces/{id}", c.handleMergedTrace)
 	c.mux.Handle("GET /metrics", c.reg.Handler())
-	c.mux.HandleFunc("GET /v1/metrics/query", c.handleMetricsQuery)
-	c.mux.HandleFunc("GET /v1/alerts", c.handleAlerts)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	c.mux.HandleFunc("GET /v1/metrics/query", c.plane.HandleQuery)
+	c.mux.HandleFunc("GET /v1/alerts", c.plane.HandleAlerts)
 }
 
 func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
@@ -122,11 +76,11 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad register body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad register body: "+err.Error())
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "register body needs a url field")
+		server.WriteError(w, http.StatusBadRequest, "register body needs a url field")
 		return
 	}
 	st, created, err := c.RegisterWorker(r.Context(), req.URL)
@@ -137,9 +91,9 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 			probeFailed = true
 		}
 		if probeFailed || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusBadGateway, "%v", err)
+			server.WriteError(w, http.StatusBadGateway, err.Error())
 		} else {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -147,20 +101,20 @@ func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Reques
 	if created {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
 }
 
 func (c *Coordinator) handleDrainWorker(w http.ResponseWriter, r *http.Request) {
 	st, ok := c.DrainWorker(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no worker %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no worker %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
@@ -168,18 +122,18 @@ func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad sweep body: "+err.Error())
 		return
 	}
 	st, err := c.StartSweep(r.Context(), req)
 	if err != nil {
 		switch {
 		case !c.accepting.Load():
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			server.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, errDurability):
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			server.WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -187,20 +141,20 @@ func (c *Coordinator) handleStartSweep(w http.ResponseWriter, r *http.Request) {
 	if st.State == "done" { // every point cached at submit
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": c.SweepStatuses()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": c.SweepStatuses()})
 }
 
 func (c *Coordinator) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := c.SweepStatusByID(r.PathValue("id"), true)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no sweep %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -221,7 +175,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	h.PointsInflight = c.mInflight.Value()
-	writeJSON(w, http.StatusOK, h)
+	server.WriteJSON(w, http.StatusOK, h)
 }
 
 // handleReadyz reports whether the coordinator can usefully accept a
@@ -229,7 +183,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // active. Liveness stays on /healthz, which answers 200 regardless.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !c.accepting.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	c.mu.Lock()
@@ -241,12 +195,12 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if active == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "no active workers", "active_workers": 0,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "active_workers": active})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "active_workers": active})
 }
 
 // handleMergedTrace serves one trace as Chrome trace-event JSON with
@@ -283,20 +237,9 @@ func (c *Coordinator) handleMergedTrace(w http.ResponseWriter, r *http.Request) 
 	}
 
 	if len(events) == 0 {
-		writeError(w, http.StatusNotFound, "no trace %q", id)
+		server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no trace %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = otrace.WriteChrome(w, events)
-}
-
-// LoggedHandler wraps the API with one structured access-log line per
-// request.
-func (c *Coordinator) LoggedHandler() http.Handler {
-	authed := c.metricsMiddleware(c.authMiddleware(c.mux))
-	return c.tracer.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		authed.ServeHTTP(w, r)
-		c.log.DebugContext(r.Context(), "http", "method", r.Method, "path", r.URL.Path, "dur", time.Since(start))
-	}))
 }

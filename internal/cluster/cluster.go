@@ -266,15 +266,12 @@ type Coordinator struct {
 
 	runners   sync.WaitGroup // per-point dispatch goroutines
 	probeWG   sync.WaitGroup // the health prober
-	obsWG     sync.WaitGroup // collector and alerter loops
 	accepting atomic.Bool
 
-	// Embedded observability plane: the federated time-series store,
-	// the collector feeding it (self + every worker's /metrics), and
-	// the optional SLO alerter over it.
-	tsdb      *tsdb.DB
-	collector *tsdb.Collector
-	alerter   *tsdb.Alerter
+	// plane is the embedded observability plane: the federated
+	// time-series store, the collector feeding it (self + every
+	// worker's /metrics), and the optional SLO alerter over it.
+	plane *tsdb.Plane
 
 	mu         sync.Mutex
 	workers    map[string]*worker // by id
@@ -362,7 +359,7 @@ func New(cfg Config) (*Coordinator, error) {
 		mUploads: reg.Counter("lvpc_trace_uploads_total",
 			"External trace files accepted via POST /v1/workloads."),
 		mWALFsync: reg.Histogram("lvpc_wal_fsync_seconds",
-			"Group-commit fsync latency on the sweep WAL append path.", fsyncBuckets),
+			"Group-commit fsync latency on the sweep WAL append path.", store.FsyncBuckets),
 
 		mTenantSweeps: make(map[string]*obs.Counter),
 		mTenantPoints: make(map[string]*obs.Counter),
@@ -437,7 +434,7 @@ func (c *Coordinator) Start() {
 	}
 	c.probeWG.Add(1)
 	go c.prober()
-	c.startObs()
+	c.plane.Run(c.lifeCtx)
 }
 
 // Shutdown stops accepting sweeps and gives in-flight points until
@@ -462,7 +459,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.probeWG.Wait()
 	// The collector must stop before the store closes: a federated
 	// scrape in flight may still be observing WAL fsyncs.
-	c.obsWG.Wait()
+	c.plane.Wait()
 	if c.st != nil {
 		if cerr := c.st.Close(); cerr != nil && err == nil {
 			err = cerr

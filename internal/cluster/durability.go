@@ -10,43 +10,11 @@ import (
 	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // errDurability marks a submit that failed because the WAL could not
 // record it; the API maps it to 500 rather than blaming the request.
 var errDurability = errors.New("durable store write failed")
-
-// requestTenant resolves the tenant the auth middleware attached to
-// ctx; calls that bypass Handler fall back to the default tenant.
-func (c *Coordinator) requestTenant(ctx context.Context) *tenant.Tenant {
-	if tn := tenant.FromContext(ctx); tn != nil {
-		return tn
-	}
-	return c.tenants.Default()
-}
-
-// lookupResult answers a spec hash from the in-memory cache, falling
-// back to the result warehouse (results survive coordinator restarts)
-// and promoting warehouse hits back into the cache.
-func (c *Coordinator) lookupResult(hash string) (server.RunResult, bool) {
-	if res, ok := c.cache.Get(hash); ok {
-		return res, true
-	}
-	if c.st == nil {
-		return server.RunResult{}, false
-	}
-	rec, ok := c.st.Warehouse().Get(hash)
-	if !ok {
-		return server.RunResult{}, false
-	}
-	var res server.RunResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return server.RunResult{}, false
-	}
-	c.cache.Put(hash, res)
-	return res, true
-}
 
 // persistSweepStarted records an accepted sweep and its unique points
 // durably; points already answered from the cache at submit are
@@ -125,24 +93,13 @@ func (c *Coordinator) warehousePut(sw *sweep, pt *point) error {
 	if pt.result == nil {
 		return nil
 	}
-	raw, err := json.Marshal(pt.result)
-	if err != nil {
-		return err
-	}
-	workload := pt.result.Workload // the mix label ("a+b") for SMT points
-	if workload == "" {
-		workload = pt.sim.Workload.Name
-	}
-	return c.st.Warehouse().Put(store.RunRecord{
+	return server.Archive(c.st.Warehouse(), store.RunRecord{
 		SpecHash:  pt.hash,
 		Tenant:    sw.tenant,
-		Workload:  workload,
+		Workload:  pt.sim.Workload.Name,
 		Predictor: pt.label,
 		TraceID:   sw.span.TraceID,
-		Time:      time.Now().UTC(),
-		Result:    raw,
-		Contexts:  pt.result.Contexts,
-	})
+	}, pt.result)
 }
 
 // replaySweeps folds the WAL's pending sweeps back into live state at
@@ -193,7 +150,7 @@ func (c *Coordinator) replaySweeps() error {
 			case settled && outcome == "":
 				pt.state = PointDone
 				pt.finished = time.Now()
-				if res, ok := c.lookupResult(pt.hash); ok {
+				if res, ok := c.cache.Lookup(pt.hash, c.st.Warehouse()); ok {
 					pt.result = &res
 				}
 			case settled:
@@ -210,7 +167,7 @@ func (c *Coordinator) replaySweeps() error {
 					return aerr
 				}
 			default:
-				if res, ok := c.lookupResult(pt.hash); ok {
+				if res, ok := c.cache.Lookup(pt.hash, c.st.Warehouse()); ok {
 					pt.state = PointDone
 					pt.cacheHit = true
 					pt.result = &res

@@ -1,42 +1,24 @@
 package cluster
 
-import (
-	"context"
-	"net/http"
-	"strings"
-	"time"
+import "repro/internal/obs/tsdb"
 
-	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
-)
-
-// fsyncBuckets resolve sub-millisecond group-commit fsyncs; the default
-// latency buckets start too coarse for a local disk's append path.
-var fsyncBuckets = []float64{
-	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1,
-}
-
-// initObs builds the coordinator's observability plane: an embedded
-// time-series store fed by a collector that scrapes the coordinator's
-// own registry plus every registered (non-drained) worker's /metrics.
-// Worker samples are merged under a worker="<id>" label, so one
-// federated query ranges over the whole fleet. Called from New.
+// initObs builds the coordinator's observability plane: the embedded
+// time-series store scrapes the coordinator's own registry plus every
+// registered (non-drained) worker's /metrics. Worker samples are merged
+// under a worker="<id>" label, so one federated query ranges over the
+// whole fleet. Called from New.
 func (c *Coordinator) initObs() {
-	c.tsdb = tsdb.New(tsdb.Options{
+	c.plane = tsdb.NewPlane(tsdb.PlaneConfig{
+		Prefix:         "lvpc",
+		Registry:       c.reg,
 		ScrapeInterval: c.cfg.ObsScrapeInterval,
 		Retention:      c.cfg.ObsRetention,
+		Remote:         c.workerTargets,
+		Rules:          c.cfg.Alerts,
+		Log:            c.log,
+		Service:        c.cfg.ServiceName,
+		QueryExtra:     c.scrapeHealth,
 	})
-	c.collector = &tsdb.Collector{
-		DB:       c.tsdb,
-		Interval: c.cfg.ObsScrapeInterval,
-		Targets:  c.scrapeTargets,
-	}
-	c.reg.GaugeFunc("lvpc_tsdb_series",
-		"Time series held by the embedded metrics store.",
-		func() float64 { return float64(c.tsdb.SeriesCount()) })
-	c.reg.CounterFunc("lvpc_tsdb_dropped_series_total",
-		"Series rejected by the embedded store's cardinality cap.",
-		func() float64 { return float64(c.tsdb.DroppedSeries()) })
 	for _, state := range []string{WorkerActive, WorkerQuarantined, WorkerDrained} {
 		st := state
 		c.reg.GaugeFunc("lvpc_workers", "Registered workers by state.",
@@ -52,30 +34,18 @@ func (c *Coordinator) initObs() {
 				return float64(n)
 			}, "state", st)
 	}
-
-	if c.cfg.Alerts != nil {
-		c.alerter = tsdb.NewAlerter(c.tsdb, c.cfg.Alerts, c.log, c.cfg.ServiceName)
-	}
-	c.reg.GaugeFunc("lvpc_alerts_firing",
-		"SLO alert rules currently firing (0 when alerting is disabled).",
-		func() float64 {
-			if c.alerter == nil {
-				return 0
-			}
-			return float64(c.alerter.FiringCount())
-		})
 }
 
-// scrapeTargets is the collector's dynamic target set: the
-// coordinator's own registry plus one /metrics scrape per non-drained
-// worker. Re-evaluated every tick, so workers joining, draining, or
-// being quarantined change the scrape set without restarts (a
-// quarantined worker stays scraped: its metrics going stale versus
-// its process being up is exactly what an operator wants to see).
-func (c *Coordinator) scrapeTargets() []tsdb.Target {
-	targets := []tsdb.Target{tsdb.RegistryTarget("self", c.reg)}
+// workerTargets is the plane's dynamic remote target set: one /metrics
+// scrape per non-drained worker. Re-evaluated every tick, so workers
+// joining, draining, or being quarantined change the scrape set
+// without restarts (a quarantined worker stays scraped: its metrics
+// going stale versus its process being up is exactly what an operator
+// wants to see).
+func (c *Coordinator) workerTargets() []tsdb.Target {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var targets []tsdb.Target
 	for id, w := range c.workers {
 		if w.state == WorkerDrained {
 			continue
@@ -86,49 +56,12 @@ func (c *Coordinator) scrapeTargets() []tsdb.Target {
 	return targets
 }
 
-// startObs launches the collector and alerter loops on the lifecycle
-// context; Shutdown's lifeStop ends them and obsWG.Wait reaps them.
-func (c *Coordinator) startObs() {
-	if c.collector != nil {
-		c.obsWG.Add(1)
-		go func() {
-			defer c.obsWG.Done()
-			c.collector.Run(c.lifeCtx)
-		}()
-	}
-	if c.alerter != nil {
-		c.obsWG.Add(1)
-		go func() {
-			defer c.obsWG.Done()
-			c.alerter.Run(c.lifeCtx)
-		}()
-	}
-}
-
-// ScrapeObs runs one federated collection pass with an explicit clock
-// (deterministic tests).
-func (c *Coordinator) ScrapeObs(now time.Time) {
-	c.collector.ScrapeOnce(context.Background(), now)
-}
-
-// EvaluateAlerts runs one alert evaluation pass with an explicit
-// clock. No-op without configured rules.
-func (c *Coordinator) EvaluateAlerts(now time.Time) {
-	if c.alerter != nil {
-		c.alerter.Evaluate(now)
-	}
-}
-
-// TSDB exposes the embedded metrics store (for tests and embedding).
-func (c *Coordinator) TSDB() *tsdb.DB { return c.tsdb }
-
-// handleMetricsQuery implements GET /v1/metrics/query over the
-// federated store. The response is annotated with per-target scrape
-// health and the quarantined worker set, so a dashboard reading a
-// merged series knows which workers' samples are stale rather than
-// silently trusting the merge.
-func (c *Coordinator) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
-	statuses := c.collector.Statuses()
+// scrapeHealth annotates every GET /v1/metrics/query response with
+// per-target scrape health and the quarantined worker set, so a
+// dashboard reading a merged series knows which workers' samples are
+// stale rather than silently trusting the merge.
+func (c *Coordinator) scrapeHealth() map[string]any {
+	statuses := c.plane.Collector.Statuses()
 	var stale []string
 	for _, st := range statuses {
 		if !st.Healthy {
@@ -150,88 +83,5 @@ func (c *Coordinator) handleMetricsQuery(w http.ResponseWriter, r *http.Request)
 	if len(quarantined) > 0 {
 		extra["quarantined_workers"] = quarantined
 	}
-	tsdb.HandleQuery(c.tsdb, w, r, extra)
-}
-
-// handleAlerts implements GET /v1/alerts.
-func (c *Coordinator) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	tsdb.HandleAlerts(c.alerter, w, r)
-}
-
-// codeRecorder captures the response status for metrics.
-type codeRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *codeRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *codeRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// metricsMiddleware folds every request into the coordinator's HTTP
-// duration histogram, labeled by normalized route and status code.
-func (c *Coordinator) metricsMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &codeRecorder{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		c.reg.Histogram("lvpc_http_request_duration_seconds",
-			"HTTP request latency by route and status code.", obs.DefBuckets,
-			"route", coordinatorRoute(r.URL.Path), "code", codeLabel(rec.code)).Observe(time.Since(start).Seconds())
-	})
-}
-
-// coordinatorRoute normalizes a request path to its route pattern
-// (bounded label cardinality; IDs collapse to placeholders).
-func coordinatorRoute(path string) string {
-	switch path {
-	case "/v1/cluster/workers", "/v1/sweeps", "/v1/workloads",
-		"/v1/alerts", "/v1/metrics/query", "/healthz", "/readyz", "/metrics":
-		return path
-	}
-	switch {
-	case strings.HasPrefix(path, "/v1/cluster/workers/"):
-		return "/v1/cluster/workers/{id}"
-	case strings.HasPrefix(path, "/v1/sweeps/"):
-		return "/v1/sweeps/{id}"
-	case strings.HasPrefix(path, "/debug/"):
-		return "/debug"
-	}
-	return "other"
-}
-
-// codeLabel renders the status codes the coordinator API produces
-// without a per-request allocation.
-func codeLabel(code int) string {
-	switch code {
-	case 200:
-		return "200"
-	case 201:
-		return "201"
-	case 202:
-		return "202"
-	case 400:
-		return "400"
-	case 401:
-		return "401"
-	case 403:
-		return "403"
-	case 404:
-		return "404"
-	case 500:
-		return "500"
-	case 502:
-		return "502"
-	case 503:
-		return "503"
-	default:
-		return "other"
-	}
+	return extra
 }

@@ -27,7 +27,7 @@ func mustExpr(t *testing.T, q string) tsdb.Expr {
 // without poisoning the merged series of the survivors.
 func TestFederationThreeWorkers(t *testing.T) {
 	cfg := fastConfig()
-	cfg.ObsScrapeInterval = time.Hour // only explicit ScrapeObs passes
+	cfg.ObsScrapeInterval = time.Hour // only explicit ScrapeOnce passes
 	coord, ts := newCoordinator(t, cfg)
 
 	type wk struct {
@@ -45,11 +45,11 @@ func TestFederationThreeWorkers(t *testing.T) {
 	}
 
 	t0 := time.Now()
-	coord.ScrapeObs(t0)
+	coord.plane.ScrapeOnce(t0)
 
 	// Every target answered: up{} for self plus up{worker=<id>} per
 	// worker, all 1.
-	ups := coord.TSDB().Eval(mustExpr(t, "up"), t0)
+	ups := coord.plane.DB.Eval(mustExpr(t, "up"), t0)
 	if len(ups) != 4 {
 		t.Fatalf("up series = %d, want 4 (self + 3 workers): %+v", len(ups), ups)
 	}
@@ -61,7 +61,7 @@ func TestFederationThreeWorkers(t *testing.T) {
 
 	// Worker metrics federate under the worker label: each worker's
 	// sim-throughput gauge becomes its own series in the merged store.
-	mips := coord.TSDB().Eval(mustExpr(t, "lvpd_sim_mips"), t0)
+	mips := coord.plane.DB.Eval(mustExpr(t, "lvpd_sim_mips"), t0)
 	seen := map[string]bool{}
 	for _, r := range mips {
 		seen[r.Labels["worker"]] = true
@@ -77,9 +77,9 @@ func TestFederationThreeWorkers(t *testing.T) {
 	dead := fleet[0]
 	dead.ts.Close()
 	t1 := t0.Add(5 * time.Second)
-	coord.ScrapeObs(t1)
+	coord.plane.ScrapeOnce(t1)
 
-	ups = coord.TSDB().Eval(mustExpr(t, "up"), t1)
+	ups = coord.plane.DB.Eval(mustExpr(t, "up"), t1)
 	byWorker := map[string]float64{}
 	for _, r := range ups {
 		byWorker[r.Labels["worker"]] = r.Value
@@ -92,7 +92,7 @@ func TestFederationThreeWorkers(t *testing.T) {
 			t.Errorf("up{worker=%s} = %v, want 1 (survivor poisoned?)", w.id, byWorker[w.id])
 		}
 	}
-	st, ok := coord.collector.StatusByKey(dead.id)
+	st, ok := coord.plane.Collector.StatusByKey(dead.id)
 	if !ok || st.Healthy {
 		t.Errorf("dead worker target status = %+v, want unhealthy", st)
 	}
@@ -139,8 +139,8 @@ func TestCoordinatorRequestHistogram(t *testing.T) {
 	var h ClusterHealth
 	getJSON(t, ts.URL+"/healthz", &h)
 
-	coord.ScrapeObs(time.Now())
-	rs := coord.TSDB().Eval(mustExpr(t, "lvpc_http_request_duration_seconds_count"), time.Now())
+	coord.plane.ScrapeOnce(time.Now())
+	rs := coord.plane.DB.Eval(mustExpr(t, "lvpc_http_request_duration_seconds_count"), time.Now())
 	found := false
 	for _, r := range rs {
 		if r.Labels["route"] == "/healthz" && r.Labels["code"] == "200" && r.Value >= 1 {

@@ -189,7 +189,7 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 	if !c.accepting.Load() {
 		return SweepStatus{}, fmt.Errorf("coordinator is shutting down")
 	}
-	tn := c.requestTenant(ctx)
+	tn := c.tenants.Resolve(ctx)
 	maxPoints := c.cfg.MaxSweepPoints
 	if tn.MaxSweepPoints > 0 && tn.MaxSweepPoints < maxPoints {
 		maxPoints = tn.MaxSweepPoints
@@ -227,7 +227,7 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 			continue
 		}
 		pt := &point{hash: p.Hash, sim: p.Sim, label: p.Label, count: 1, state: PointPending}
-		if res, ok := c.lookupResult(p.Hash); ok {
+		if res, ok := c.cache.Lookup(p.Hash, c.st.Warehouse()); ok {
 			pt.state = PointDone
 			pt.cacheHit = true
 			pt.result = &res

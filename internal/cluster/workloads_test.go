@@ -3,9 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 
+	otrace "repro/internal/obs/trace"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -120,4 +124,64 @@ func TestClusterExternalTraceSweep(t *testing.T) {
 	if n := len(coord.st.Warehouse().List(store.Filter{Source: "synthetic"})); n != 0 {
 		t.Fatalf("warehouse synthetic records = %d, want 0", n)
 	}
+}
+
+// lockedBuffer is a log sink safe to read while handlers write to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCoordinatorUploadLogAttribution pins the coordinator's upload log
+// line to lvpd's: logged under the request context (so it carries the
+// request's trace_id) and attributed to the default tenant rather than
+// an empty one when the coordinator runs single-tenant.
+func TestCoordinatorUploadLogAttribution(t *testing.T) {
+	var logs lockedBuffer
+	cfg := fastConfig()
+	cfg.Logger = slog.New(otrace.NewLogHandler(slog.NewJSONHandler(&logs, nil)))
+	_, ts := newCoordinator(t, cfg)
+
+	resp, err := http.Post(ts.URL+"/v1/workloads", "application/octet-stream",
+		bytes.NewReader(encodeTrace(t, "sjeng", 5_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up server.WorkloadUpload
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d, want 201", resp.StatusCode)
+	}
+	t.Cleanup(func() { trace.UnregisterExternal(up.Workload) })
+	traceID := resp.Header.Get(otrace.TraceIDHeader)
+	if traceID == "" {
+		t.Fatal("upload response carries no trace id")
+	}
+
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) != nil || rec["msg"] != "external trace uploaded" {
+			continue
+		}
+		if rec["tenant"] != "default" || rec["trace_id"] != traceID {
+			t.Fatalf("upload log tenant=%v trace_id=%v, want default and %s", rec["tenant"], rec["trace_id"], traceID)
+		}
+		return
+	}
+	t.Fatalf("no upload log line in:\n%s", logs.String())
 }

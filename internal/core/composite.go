@@ -170,58 +170,6 @@ func (c *Composite) Probe(p Probe) Lookup {
 	return lk
 }
 
-// ProbeBatch computes the Lookups that Probe would return for a batch
-// of upcoming loads against the predictor's *current* state, without
-// recording any probe statistics. Components are walked in the outer
-// loop (component-major) so each predictor's tables and code stay hot
-// across the batch — Predict is side-effect free for every component,
-// so the reordering is unobservable.
-//
-// A batched Lookup is only valid while the predictor state is
-// unchanged: any intervening Train or Instret may alter what Probe
-// would return. The caller is responsible for discarding stale batches;
-// CommitProbe turns a still-valid batched Lookup into the equivalent of
-// a Probe call.
-func (c *Composite) ProbeBatch(ps []Probe, out []Lookup) {
-	for i := range out {
-		out[i] = Lookup{}
-	}
-	for comp := Component(0); comp < NumComponents; comp++ {
-		pred := c.comps[comp]
-		if pred == nil || (c.fuse != nil && c.fuse.donated(comp)) {
-			continue
-		}
-		for i := range ps {
-			pr, ok := pred.Predict(ps[i])
-			if !ok {
-				continue
-			}
-			out[i].Preds[comp] = pr
-			out[i].Confident.Add(comp)
-			if c.am == nil || c.am.Allow(comp, ps[i].PC) {
-				out[i].Allowed.Add(comp)
-			}
-		}
-	}
-	for i := range out {
-		for _, comp := range selectionOrder {
-			if out[i].Allowed.Has(comp) {
-				out[i].Chosen = comp
-				out[i].Used = true
-				break
-			}
-		}
-	}
-}
-
-// CommitProbe records a Lookup previously computed by ProbeBatch as
-// this load's probe. Probe(p) and ProbeBatch(...)+CommitProbe produce
-// bit-identical state when no Train or Instret intervened between the
-// batch computation and the commit.
-func (c *Composite) CommitProbe(lk *Lookup) {
-	c.stats.recordProbe(lk)
-}
-
 // Train updates predictor state for an executed load. lk must be the
 // Lookup captured at fetch (nil for loads with no lookup, treated as an
 // empty lookup), and v the Validation of its confident predictions

@@ -86,16 +86,6 @@ type Config struct {
 	// (e.g. 64, the "block" policy) give each context bursts of
 	// exclusive access to the shared predictor and cache state.
 	SMTQuantum int
-
-	// BatchProbes probes upcoming predictable loads in groups through
-	// the engine's BatchEngine interface when the instruction stream is
-	// replayed from memory (see batch.go). Results are bit-identical to
-	// serial probing — adoption is guarded by an engine-generation
-	// check and an input comparison — so this is purely a performance
-	// knob. It defaults off: on the measured workloads the horizon
-	// prediction and lookup double-buffering cost about as much as the
-	// batched dispatch saves (DESIGN.md §13.3 has the numbers).
-	BatchProbes bool
 }
 
 // DefaultConfig returns the paper's Table III baseline configuration.

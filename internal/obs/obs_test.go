@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -290,3 +291,21 @@ func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 // WriteString shadows the recorder's promoted StringWriter so
 // io.WriteString cannot route around the failing Write.
 func (failingWriter) WriteString(string) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestCodeLabel pins the status-code label: the exact decimal code for
+// every valid status, "other" outside 100-599, and no allocation.
+func TestCodeLabel(t *testing.T) {
+	for code := 100; code < 600; code++ {
+		if got, want := CodeLabel(code), strconv.Itoa(code); got != want {
+			t.Fatalf("CodeLabel(%d) = %q, want %q", code, got, want)
+		}
+	}
+	for _, code := range []int{-1, 0, 99, 600, 1000} {
+		if got := CodeLabel(code); got != "other" {
+			t.Errorf("CodeLabel(%d) = %q, want other", code, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = CodeLabel(422) }); n != 0 {
+		t.Errorf("CodeLabel allocates %v times per call", n)
+	}
+}

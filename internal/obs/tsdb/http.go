@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// HandleQuery serves GET /v1/metrics/query against db.
+// HandleQuery serves GET /v1/metrics/query against the plane's store.
 //
 // Parameters:
 //
@@ -17,9 +17,9 @@ import (
 //	         range query bounds; presence of start_ms+end_ms selects
 //	         range mode (step defaults to the scrape interval)
 //
-// extra, when non-nil, is merged into the response object — the
-// coordinator uses it to annotate fleet scrape health per worker.
-func HandleQuery(db *DB, w http.ResponseWriter, r *http.Request, extra map[string]any) {
+// PlaneConfig.QueryExtra, when set, is merged into the response object
+// — the coordinator uses it to annotate fleet scrape health per worker.
+func (p *Plane) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing q parameter"})
@@ -31,8 +31,10 @@ func HandleQuery(db *DB, w http.ResponseWriter, r *http.Request, extra map[strin
 		return
 	}
 	resp := map[string]any{"query": e.String()}
-	for k, v := range extra {
-		resp[k] = v
+	if p.queryExtra != nil {
+		for k, v := range p.queryExtra() {
+			resp[k] = v
+		}
 	}
 
 	startMS, hasStart := queryInt(r, "start_ms")
@@ -44,7 +46,7 @@ func HandleQuery(db *DB, w http.ResponseWriter, r *http.Request, extra map[strin
 			return
 		}
 		stepMS, _ := queryInt(r, "step_ms")
-		resp["results"] = orEmptySeries(db.EvalRange(e,
+		resp["results"] = orEmptySeries(p.DB.EvalRange(e,
 			time.UnixMilli(startMS), time.UnixMilli(endMS),
 			time.Duration(stepMS)*time.Millisecond))
 		writeJSON(w, http.StatusOK, resp)
@@ -55,7 +57,7 @@ func HandleQuery(db *DB, w http.ResponseWriter, r *http.Request, extra map[strin
 	if tms, ok := queryInt(r, "time_ms"); ok {
 		at = time.UnixMilli(tms)
 	}
-	resp["results"] = orEmptyInstant(db.Eval(e, at))
+	resp["results"] = orEmptyInstant(p.DB.Eval(e, at))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -75,10 +77,11 @@ func orEmptySeries(rs []SeriesResult) []SeriesResult {
 	return rs
 }
 
-// HandleAlerts serves GET /v1/alerts. A nil alerter (no -alerts-file)
-// reports alerting disabled with an empty list rather than a 404, so
-// dashboards can poll unconditionally.
-func HandleAlerts(a *Alerter, w http.ResponseWriter, r *http.Request) {
+// HandleAlerts serves GET /v1/alerts. A plane without rules (no
+// -alerts-file) reports alerting disabled with an empty list rather
+// than a 404, so dashboards can poll unconditionally.
+func (p *Plane) HandleAlerts(w http.ResponseWriter, r *http.Request) {
+	a := p.Alerter
 	if a == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "alerts": []AlertStatus{}})
 		return

@@ -2,7 +2,11 @@ package server
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
+	"time"
+
+	"repro/internal/store"
 )
 
 // ResultCache is a fixed-capacity LRU of completed RunResults keyed by
@@ -70,4 +74,44 @@ func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// Lookup answers key from the cache, then from wh (which retains every
+// finished run beyond the cache's capacity; nil means no warehouse),
+// promoting warehouse hits back into the cache.
+func (c *ResultCache) Lookup(key string, wh *store.Warehouse) (RunResult, bool) {
+	if res, ok := c.Get(key); ok {
+		return res, true
+	}
+	if wh == nil {
+		return RunResult{}, false
+	}
+	rec, ok := wh.Get(key)
+	if !ok {
+		return RunResult{}, false
+	}
+	var res RunResult
+	if err := json.Unmarshal(rec.Result, &res); err != nil {
+		return RunResult{}, false
+	}
+	c.Put(key, res)
+	return res, true
+}
+
+// Archive retains res in wh beyond the cache. rec carries the run's
+// identity (spec hash, tenant, predictor label, trace, and the spec's
+// workload name); Archive fills in the payload and the time, and for
+// SMT runs the mix label ("a+b") and context count.
+func Archive(wh *store.Warehouse, rec store.RunRecord, res *RunResult) error {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	if res.Workload != "" {
+		rec.Workload = res.Workload
+	}
+	rec.Time = time.Now().UTC()
+	rec.Result = raw
+	rec.Contexts = res.Contexts
+	return wh.Put(rec)
 }

@@ -39,7 +39,11 @@ func (s *Server) persistTerminal(j *job, state, errMsg string, res *RunResult) {
 	switch state {
 	case StateDone:
 		if res != nil {
-			if rerr := s.warehousePut(j, res); rerr != nil {
+			j.mu.Lock()
+			traceID := j.traceID
+			j.mu.Unlock()
+			rec := store.RunRecord{SpecHash: j.key, Tenant: j.tenant, Workload: j.sim.Workload.Name, Predictor: j.label, TraceID: traceID}
+			if rerr := Archive(s.st.Warehouse(), rec, res); rerr != nil {
 				s.log.Error("warehouse put failed", "id", j.id, "err", rerr)
 			}
 		}
@@ -54,31 +58,6 @@ func (s *Server) persistTerminal(j *job, state, errMsg string, res *RunResult) {
 	if err != nil {
 		s.log.Error("wal append failed", "id", j.id, "state", state, "err", err)
 	}
-}
-
-// warehousePut retains a finished result beyond the LRU cache.
-func (s *Server) warehousePut(j *job, res *RunResult) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	traceID := j.traceID
-	j.mu.Unlock()
-	workload := res.Workload // the mix label ("a+b") for SMT runs
-	if workload == "" {
-		workload = j.sim.Workload.Name
-	}
-	return s.st.Warehouse().Put(store.RunRecord{
-		SpecHash:  j.key,
-		Tenant:    j.tenant,
-		Workload:  workload,
-		Predictor: j.label,
-		TraceID:   traceID,
-		Time:      time.Now().UTC(),
-		Result:    raw,
-		Contexts:  res.Contexts,
-	})
 }
 
 // replay folds the WAL into owed work: every job accepted but not
@@ -118,7 +97,7 @@ func (s *Server) replay() error {
 		// another deployment sharing the warehouse): settle without
 		// re-simulating — the spec hash makes re-execution idempotent,
 		// and the warehouse makes it unnecessary.
-		if res, ok := s.lookupResult(j.key); ok {
+		if res, ok := s.cache.Lookup(j.key, s.st.Warehouse()); ok {
 			j.mu.Lock()
 			j.cacheHit = true
 			j.mu.Unlock()

@@ -176,19 +176,19 @@ func (s *Server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if j != nil {
 		if !terminalState(j.status().State) {
-			writeJSON(w, http.StatusOK, j.flightRecord(""))
+			WriteJSON(w, http.StatusOK, j.flightRecord(""))
 			return
 		}
 	}
 	if s.st != nil {
 		if rec, ok := s.st.Flights().Get(id); ok {
-			writeJSON(w, http.StatusOK, rec)
+			WriteJSON(w, http.StatusOK, rec)
 			return
 		}
 	}
 	if j != nil {
-		writeJSON(w, http.StatusOK, j.flightRecord(""))
+		WriteJSON(w, http.StatusOK, j.flightRecord(""))
 		return
 	}
-	writeError(w, http.StatusNotFound, "no flight record for job")
+	WriteError(w, http.StatusNotFound, "no flight record for job")
 }

@@ -1,84 +1,28 @@
 package server
 
 import (
-	"context"
 	"math"
-	"net/http"
-	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
-// fsyncBuckets resolve sub-millisecond group-commit fsyncs; the default
-// latency buckets start too coarse for a local disk's append path.
-var fsyncBuckets = []float64{
-	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1,
-}
-
-// initObs builds the embedded time-series layer: the ring-buffer DB,
-// the self-scrape collector (which also drives flight-recorder
-// sampling), and — when an alert rule set is configured — the SLO
-// alerter whose firing transitions dump running jobs' black boxes.
-// Called from New after the durable store opens.
+// initObs builds the embedded observability plane over the server's
+// registry. Each tick also drives flight-recorder sampling, and a
+// firing SLO alert dumps running jobs' black boxes. Called from New
+// before the routes that serve the plane are registered.
 func (s *Server) initObs() {
-	s.tsdb = tsdb.New(tsdb.Options{
+	s.plane = tsdb.NewPlane(tsdb.PlaneConfig{
+		Prefix:         "lvpd",
+		Registry:       s.reg,
 		ScrapeInterval: s.cfg.ObsScrapeInterval,
 		Retention:      s.cfg.ObsRetention,
+		OnScrape:       s.sampleFlights,
+		Rules:          s.cfg.Alerts,
+		Log:            s.log,
+		Service:        s.cfg.ServiceName,
+		OnAlert:        s.onAlertTransition,
 	})
-	s.collector = &tsdb.Collector{
-		DB:       s.tsdb,
-		Interval: s.cfg.ObsScrapeInterval,
-		Targets: func() []tsdb.Target {
-			return []tsdb.Target{tsdb.RegistryTarget("self", s.reg)}
-		},
-		OnScrape: s.sampleFlights,
-	}
-	// The tsdb watches itself: series count and cardinality-cap drops
-	// are regular metrics, so a label blowup shows up in the very store
-	// it is blowing up.
-	s.reg.GaugeFunc("lvpd_tsdb_series",
-		"Time series held by the embedded metrics store.",
-		func() float64 { return float64(s.tsdb.SeriesCount()) })
-	s.reg.CounterFunc("lvpd_tsdb_dropped_series_total",
-		"Series rejected by the embedded store's cardinality cap.",
-		func() float64 { return float64(s.tsdb.DroppedSeries()) })
-
-	if s.cfg.Alerts != nil {
-		s.alerter = tsdb.NewAlerter(s.tsdb, s.cfg.Alerts, s.log, s.cfg.ServiceName)
-		s.alerter.OnTransition = s.onAlertTransition
-	}
-	// Registered unconditionally so the exposition is stable with and
-	// without an -alerts-file.
-	s.reg.GaugeFunc("lvpd_alerts_firing",
-		"SLO alert rules currently firing (0 when alerting is disabled).",
-		func() float64 {
-			if s.alerter == nil {
-				return 0
-			}
-			return float64(s.alerter.FiringCount())
-		})
-}
-
-// startObs launches the collector and alerter loops on the server's
-// lifecycle context. Shutdown stops them via lifeStop and waits on
-// obsWG before closing the store under them.
-func (s *Server) startObs() {
-	if s.collector != nil {
-		s.obsWG.Add(1)
-		go func() {
-			defer s.obsWG.Done()
-			s.collector.Run(s.lifeCtx)
-		}()
-	}
-	if s.alerter != nil {
-		s.obsWG.Add(1)
-		go func() {
-			defer s.obsWG.Done()
-			s.alerter.Run(s.lifeCtx)
-		}()
-	}
 }
 
 // onAlertTransition is the alerter's in-process hook: when a rule
@@ -93,103 +37,6 @@ func (s *Server) onAlertTransition(n tsdb.Notification) {
 		j.flight.note("alert fired: " + n.Rule)
 		s.dumpFlight(j, "alert:"+n.Rule)
 	}
-}
-
-// ScrapeObs runs one observability collection pass with an explicit
-// clock — the deterministic twin of the collector's ticker, for tests.
-func (s *Server) ScrapeObs(now time.Time) {
-	s.collector.ScrapeOnce(context.Background(), now)
-}
-
-// EvaluateAlerts runs one alert evaluation pass with an explicit
-// clock. No-op without configured rules.
-func (s *Server) EvaluateAlerts(now time.Time) {
-	if s.alerter != nil {
-		s.alerter.Evaluate(now)
-	}
-}
-
-// TSDB exposes the embedded metrics store (for tests and embedding).
-func (s *Server) TSDB() *tsdb.DB { return s.tsdb }
-
-// handleMetricsQuery implements GET /v1/metrics/query over the
-// embedded store.
-func (s *Server) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
-	tsdb.HandleQuery(s.tsdb, w, r, nil)
-}
-
-// handleAlerts implements GET /v1/alerts.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	tsdb.HandleAlerts(s.alerter, w, r)
-}
-
-// observeRequest folds one finished HTTP request into the duration
-// histogram, labeled by normalized route and status code. The route
-// label comes from routeLabel, not the raw path, so job IDs and spec
-// hashes cannot blow up the label cardinality.
-func (s *Server) observeRequest(r *http.Request, code int, secs float64) {
-	s.reg.Histogram("lvpd_http_request_duration_seconds",
-		"HTTP request latency by route and status code.", obs.DefBuckets,
-		"route", routeLabel(r.URL.Path), "code", httpCodeLabel(code)).Observe(secs)
-}
-
-// httpCodeLabel renders the handful of status codes the API produces
-// without a per-request fmt allocation.
-func httpCodeLabel(code int) string {
-	switch code {
-	case 200:
-		return "200"
-	case 202:
-		return "202"
-	case 400:
-		return "400"
-	case 401:
-		return "401"
-	case 403:
-		return "403"
-	case 404:
-		return "404"
-	case 429:
-		return "429"
-	case 500:
-		return "500"
-	case 503:
-		return "503"
-	default:
-		return "other"
-	}
-}
-
-// routeLabel normalizes a request path to its route pattern, collapsing
-// path parameters (job IDs, spec hashes) to placeholders. Hand-written
-// rather than read from the mux because the matched pattern is not
-// exposed on the request until later Go releases than this module
-// targets.
-func routeLabel(path string) string {
-	switch path {
-	case "/v1/jobs", "/v1/sweeps", "/v1/runs", "/v1/runs/diff",
-		"/v1/presets", "/v1/workloads", "/v1/alerts", "/v1/metrics/query",
-		"/healthz", "/readyz", "/metrics":
-		return path
-	}
-	switch {
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		switch {
-		case strings.HasSuffix(path, "/events"):
-			return "/v1/jobs/{id}/events"
-		case strings.HasSuffix(path, "/flightrecord"):
-			return "/v1/jobs/{id}/flightrecord"
-		default:
-			return "/v1/jobs/{id}"
-		}
-	case strings.HasPrefix(path, "/v1/runs/"):
-		return "/v1/runs/{hash}"
-	case strings.HasPrefix(path, "/v1/traces/"):
-		return "/v1/traces/{hash}"
-	case strings.HasPrefix(path, "/debug/"):
-		return "/debug"
-	}
-	return "other"
 }
 
 // registerTenantStarvationGauges publishes per-tenant queueing health:

@@ -61,7 +61,7 @@ func TestAlertLifecycleAndFlightRecord(t *testing.T) {
 		MaxInsts:          -1,
 		DataDir:           dir,
 		Alerts:            rules,
-		ObsScrapeInterval: time.Hour, // only explicit ScrapeObs passes
+		ObsScrapeInterval: time.Hour, // only explicit ScrapeOnce passes
 		Logger:            slog.New(slog.NewTextHandler(io.Discard, nil)),
 		DefaultInsts:      20_000,
 	}
@@ -73,7 +73,7 @@ func TestAlertLifecycleAndFlightRecord(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	t0 := time.Now()
-	s.ScrapeObs(t0) // baseline: failed = 0
+	s.plane.ScrapeOnce(t0) // baseline: failed = 0
 
 	// Induce the breach: a 1ms deadline on a 50M-instruction run fails
 	// with deadline exceeded.
@@ -92,8 +92,8 @@ func TestAlertLifecycleAndFlightRecord(t *testing.T) {
 	// The failure enters the store; the rate over the last minute
 	// breaches and the rule fires immediately (for_seconds 0).
 	t1 := t0.Add(5 * time.Second)
-	s.ScrapeObs(t1)
-	s.EvaluateAlerts(t1)
+	s.plane.ScrapeOnce(t1)
+	s.plane.Evaluate(t1)
 	ar := getAlerts(t, ts)
 	if !ar.Enabled || ar.Firing != 1 {
 		t.Fatalf("alerts after breach = %+v, want enabled with 1 firing", ar)
@@ -105,12 +105,12 @@ func TestAlertLifecycleAndFlightRecord(t *testing.T) {
 	// The firing count feeds back into the registry and therefore into
 	// the next scrape.
 	t2 := t1.Add(5 * time.Second)
-	s.ScrapeObs(t2)
+	s.plane.ScrapeOnce(t2)
 	e, err := tsdb.ParseExpr("lvpd_alerts_firing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := s.TSDB().Eval(e, t2)
+	rs := s.plane.DB.Eval(e, t2)
 	if len(rs) != 1 || rs[0].Value != 1 {
 		t.Fatalf("lvpd_alerts_firing = %+v, want 1", rs)
 	}
@@ -118,10 +118,10 @@ func TestAlertLifecycleAndFlightRecord(t *testing.T) {
 	// Two quiet scrapes a couple of minutes later: the 1m rate window
 	// no longer contains the increase, the rule resolves.
 	t3 := t2.Add(2 * time.Minute)
-	s.ScrapeObs(t3)
+	s.plane.ScrapeOnce(t3)
 	t4 := t3.Add(5 * time.Second)
-	s.ScrapeObs(t4)
-	s.EvaluateAlerts(t4)
+	s.plane.ScrapeOnce(t4)
+	s.plane.Evaluate(t4)
 	ar = getAlerts(t, ts)
 	if ar.Firing != 0 || len(ar.Alerts) != 1 || ar.Alerts[0].State != tsdb.AlertResolved {
 		t.Fatalf("alerts after decay = %+v, want resolved with 0 firing", ar)
@@ -303,9 +303,9 @@ func TestMetricsQueryEndpoint(t *testing.T) {
 		resp.Body.Close()
 	}
 	t0 := time.Now()
-	s.ScrapeObs(t0)
+	s.plane.ScrapeOnce(t0)
 	t1 := t0.Add(10 * time.Second)
-	s.ScrapeObs(t1)
+	s.plane.ScrapeOnce(t1)
 
 	q := ts.URL + "/v1/metrics/query?q=lvpd_http_requests_total&time_ms=" +
 		jsonInt(t1.UnixMilli())

@@ -396,14 +396,11 @@ type Server struct {
 	st      *store.Store
 	crashed atomic.Bool
 
-	// The observability plane: the embedded time-series store sampled
-	// from the registry by the collector, and the optional SLO alerter.
-	// obsWG tracks their loops so Shutdown can stop them (via lifeStop)
-	// before the store closes under the flight recorder.
-	tsdb      *tsdb.DB
-	collector *tsdb.Collector
-	alerter   *tsdb.Alerter
-	obsWG     sync.WaitGroup
+	// plane is the observability plane: the embedded time-series store
+	// sampled from the registry, and the optional SLO alerter. Its loops
+	// run on lifeCtx; Shutdown stops them before the store closes under
+	// the flight recorder.
+	plane *tsdb.Plane
 
 	// traces is the content-addressed recorded-trace store shared by
 	// every simulation context: each workload stream is generated at
@@ -489,7 +486,7 @@ func New(cfg Config) (*Server, error) {
 		mThrottled:  reg.Counter("lvpd_jobs_total", "Jobs by terminal or entry state.", "state", "throttled"),
 		mAuthFailed: reg.Counter("lvpd_auth_failures_total", "Requests rejected for a missing or unknown API key."),
 		mUploads:    reg.Counter("lvpd_trace_uploads_total", "External trace files accepted via POST /v1/workloads."),
-		mWALFsync:   reg.Histogram("lvpd_wal_fsync_seconds", "Group-commit fsync latency on the WAL append path.", fsyncBuckets),
+		mWALFsync:   reg.Histogram("lvpd_wal_fsync_seconds", "Group-commit fsync latency on the WAL append path.", store.FsyncBuckets),
 		mSSEDropped: reg.Counter("lvpd_sse_streams_dropped_total", "Job event streams whose client disconnected before the terminal event."),
 
 		mTenantDispatched: make(map[string]*obs.Counter),
@@ -558,6 +555,7 @@ func New(cfg Config) (*Server, error) {
 			return float64(s.mSimInsts.Value()) / 1e6 / secs
 		})
 	s.lifeCtx, s.lifeStop = context.WithCancel(context.Background())
+	s.initObs()
 	s.routes()
 	if cfg.DataDir != "" {
 		st, err := store.Open(cfg.DataDir, store.Options{
@@ -573,7 +571,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.initObs()
 	return s, nil
 }
 
@@ -607,7 +604,7 @@ func (s *Server) Start() {
 			}
 		}()
 	}
-	s.startObs()
+	s.plane.Run(s.lifeCtx)
 }
 
 // Shutdown drains the service: no new submissions are accepted, queued
@@ -636,7 +633,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// on lifeCtx) and wait them out before the store closes under the
 	// flight recorder.
 	s.lifeStop()
-	s.obsWG.Wait()
+	s.plane.Wait()
 	if s.st != nil && !s.crashed.Load() {
 		if cerr := s.st.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -645,59 +642,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Handler returns the HTTP handler tree with request logging, trace
-// propagation, and tenant authentication applied. The trace middleware
-// is outermost so a submit request's traceparent header is on the
-// context before any handler (or log line) runs; auth is innermost so
-// failures still show up in the request log.
+// Handler returns the HTTP handler tree with trace propagation,
+// request metrics and logging, and tenant authentication applied. The
+// trace middleware is outermost so a submit request's traceparent
+// header is on the context before any handler (or log line) runs; auth
+// is innermost so failures still show up in the request log.
 func (s *Server) Handler() http.Handler {
-	return s.tracer.Middleware(s.logMiddleware(s.authMiddleware(s.mux)))
+	return s.tracer.Middleware(s.reg.InstrumentHTTP("lvpd", s.mux, s.log,
+		Authenticate(s.tenants, s.mAuthFailed, s.mux)))
 }
 
-// authMiddleware resolves the request's tenant and stores it in the
-// context. Only the /v1/ API surface requires a key; health, metrics,
-// and debug endpoints stay open (they carry no tenant data and probes
-// have no credentials). In single-tenant mode every request maps to
-// the default tenant. A Proxy-flagged tenant (the coordinator's worker
-// credential) may attribute its work to another tenant via the
-// X-Lvpd-Tenant header.
-func (s *Server) authMiddleware(next http.Handler) http.Handler {
+// Authenticate is the tenant middleware lvpd and the cluster
+// coordinator share: it resolves the request's tenant and stores it in
+// the context (read back with tenants.Resolve). Only the /v1/ API
+// surface requires a key; health, metrics, and debug endpoints stay
+// open (they carry no tenant data and probes have no credentials). In
+// single-tenant mode every request maps to the default tenant. A
+// Proxy-flagged tenant (the coordinator's worker credential) may
+// attribute its work to another tenant via the X-Lvpd-Tenant header.
+// Rejected keys count into failures.
+func Authenticate(tenants *tenant.Registry, failures *obs.Counter, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
 			return
 		}
 		key := tenant.KeyFromAuth(r.Header.Get("Authorization"), r.Header.Get("X-API-Key"))
-		tn, ok := s.tenants.Authenticate(key)
+		tn, ok := tenants.Authenticate(key)
 		if !ok {
-			s.mAuthFailed.Inc()
-			writeError(w, http.StatusUnauthorized, "missing or unknown API key")
+			failures.Inc()
+			WriteError(w, http.StatusUnauthorized, "missing or unknown API key")
 			return
 		}
 		if name := r.Header.Get("X-Lvpd-Tenant"); name != "" && name != tn.Name {
 			if !tn.Proxy {
-				writeError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
+				WriteError(w, http.StatusForbidden, "tenant is not allowed to attribute work to others")
 				return
 			}
-			attributed, ok := s.tenants.ByName(name)
+			attributed, ok := tenants.ByName(name)
 			if !ok {
-				writeError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
+				WriteError(w, http.StatusForbidden, "unknown tenant in X-Lvpd-Tenant")
 				return
 			}
 			tn = attributed
 		}
 		next.ServeHTTP(w, r.WithContext(tenant.NewContext(r.Context(), tn)))
 	})
-}
-
-// requestTenant resolves the tenant the auth middleware attached;
-// requests that bypass Handler (tests hitting s.mux directly) fall
-// back to the default tenant.
-func (s *Server) requestTenant(r *http.Request) *tenant.Tenant {
-	if tn := tenant.FromContext(r.Context()); tn != nil {
-		return tn
-	}
-	return s.tenants.Default()
 }
 
 func (s *Server) routes() {
@@ -715,11 +705,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("PUT /v1/traces/{hash}", s.handlePutTrace)
 	s.mux.HandleFunc("GET /v1/presets", s.handlePresets)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("POST /v1/workloads", s.handleUploadWorkload)
+	s.mux.HandleFunc("POST /v1/workloads", UploadHandler(s.traces, s.tenants, s.mUploads, s.log))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/metrics/query", s.handleMetricsQuery)
-	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
+	s.mux.HandleFunc("GET /v1/metrics/query", s.plane.HandleQuery)
+	s.mux.HandleFunc("GET /v1/alerts", s.plane.HandleAlerts)
 	s.mux.Handle("GET /debug/traces", s.tracer.IndexHandler())
 	s.mux.Handle("GET /debug/traces/{id}", s.tracer.ExportHandler())
 	s.mux.Handle("GET /metrics", s.reg.Handler())
@@ -730,50 +720,15 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-// statusRecorder captures the response code for the request log.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so SSE streams (which flush per
-// event) survive the logging wrapper.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (s *Server) logMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		s.reg.Counter("lvpd_http_requests_total", "HTTP requests by status code.",
-			"code", fmt.Sprintf("%d", rec.code)).Inc()
-		s.observeRequest(r, rec.code, time.Since(start).Seconds())
-		s.log.InfoContext(r.Context(), "http",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"code", rec.code,
-			"dur_ms", time.Since(start).Milliseconds(),
-			"remote", r.RemoteAddr,
-		)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
+// WriteError writes the API's JSON error envelope, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(marshalError(msg))
@@ -795,34 +750,34 @@ func (s *Server) specDefaults() spec.Defaults {
 // instead of buffering unboundedly).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.accepting.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	sim, err := req.ResolveSpec(s.specDefaults())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	tn := s.requestTenant(r)
+	tn := s.tenants.Resolve(r.Context())
 	j, code, retryAfter := s.admit(tn, sim, req.Label(sim), req.TimeoutMS, otrace.ContextSpanContext(r.Context()))
 	switch code {
 	case http.StatusOK, http.StatusAccepted:
-		writeJSON(w, code, j.status())
+		WriteJSON(w, code, j.status())
 	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, code, "tenant queue share or instruction budget exhausted; retry later")
+		WriteError(w, code, "tenant queue share or instruction budget exhausted; retry later")
 	case http.StatusInternalServerError:
-		writeError(w, code, "durable store write failed")
+		WriteError(w, code, "durable store write failed")
 	default:
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 	}
 }
 
@@ -894,7 +849,7 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 	j := s.newJob(tn, sim, label, timeoutMS, parent)
 
 	// Cache: equivalent requests are answered without re-simulating.
-	if res, ok := s.lookupResult(j.key); ok {
+	if res, ok := s.cache.Lookup(j.key, s.st.Warehouse()); ok {
 		s.mCacheHits.Inc()
 		j.mu.Lock()
 		j.cacheHit = true
@@ -954,28 +909,6 @@ func (s *Server) admit(tn *tenant.Tenant, sim spec.Sim, label string, timeoutMS 
 		c.Inc()
 	}
 	return j, http.StatusAccepted, 0
-}
-
-// lookupResult consults the in-memory LRU, then the warehouse (which
-// retains every finished run beyond the LRU's capacity), promoting
-// warehouse hits back into the LRU.
-func (s *Server) lookupResult(key string) (RunResult, bool) {
-	if res, ok := s.cache.Get(key); ok {
-		return res, true
-	}
-	if s.st == nil {
-		return RunResult{}, false
-	}
-	rec, ok := s.st.Warehouse().Get(key)
-	if !ok {
-		return RunResult{}, false
-	}
-	var res RunResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		return RunResult{}, false
-	}
-	s.cache.Put(key, res)
-	return res, true
 }
 
 // newJob registers a fresh queued job.
@@ -1042,14 +975,14 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	switch stateFilter {
 	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateRejected:
 	default:
-		writeError(w, http.StatusBadRequest, "state must be one of queued, running, done, failed, canceled, rejected")
+		WriteError(w, http.StatusBadRequest, "state must be one of queued, running, done, failed, canceled, rejected")
 		return
 	}
 	tenantFilter := r.URL.Query().Get("tenant")
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 500 {
-			writeError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
+			WriteError(w, http.StatusBadRequest, "limit must be an integer in [1, 500]")
 			return
 		}
 		limit = n
@@ -1057,7 +990,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "offset must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "offset must be a non-negative integer")
 			return
 		}
 		offset = n
@@ -1090,7 +1023,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		list.Jobs = append(list.Jobs, live[i].summary())
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -1098,10 +1031,10 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 // handleCancelJob implements DELETE /v1/jobs/{id}: cancel a queued or
@@ -1112,7 +1045,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	j.cancel()
@@ -1123,7 +1056,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		s.mCanceled.Inc()
 		s.persistTerminal(j, StateCanceled, "canceled by client", nil)
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -1131,7 +1064,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	if ext := trace.ExternalNames(); len(ext) > 0 {
 		resp["external"] = ext
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -1144,7 +1077,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if secs := s.mJobDur.Sum(); secs > 0 {
 		h.SimMIPS = float64(s.mSimInsts.Value()) / 1e6 / secs
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // handleReadyz implements GET /readyz, the readiness half of the
@@ -1154,10 +1087,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // probe (and keeps its informational payload).
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.accepting.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // simCtx returns the shared expt.Context for an (insts, seed)

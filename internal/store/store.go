@@ -71,8 +71,15 @@ func Open(dir string, opts Options) (*Store, error) {
 // restarted owner owes. Events appended since Open are not reflected.
 func (s *Store) State() State { return s.state }
 
-// Warehouse exposes the result warehouse.
-func (s *Store) Warehouse() *Warehouse { return s.wh }
+// Warehouse exposes the result warehouse; nil for a nil store, so
+// callers without durability pass the result straight to lookups that
+// treat a nil warehouse as empty.
+func (s *Store) Warehouse() *Warehouse {
+	if s == nil {
+		return nil
+	}
+	return s.wh
+}
 
 // Flights exposes the flight-record store.
 func (s *Store) Flights() *FlightStore { return s.flights }

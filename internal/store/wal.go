@@ -80,6 +80,13 @@ type WALOptions struct {
 	FsyncObserver func(seconds float64)
 }
 
+// FsyncBuckets are histogram bounds (seconds) for FsyncObserver: they
+// resolve sub-millisecond group-commit fsyncs, where default latency
+// buckets start too coarse for a local disk's append path.
+var FsyncBuckets = []float64{
+	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1,
+}
+
 func (o *WALOptions) applyDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20

@@ -14,3 +14,13 @@ func FromContext(ctx context.Context) *Tenant {
 	t, _ := ctx.Value(ctxKey{}).(*Tenant)
 	return t
 }
+
+// Resolve returns the tenant attached to ctx by the auth middleware,
+// falling back to the default tenant for calls that bypass it (tests
+// driving a mux directly, in-process callers).
+func (r *Registry) Resolve(ctx context.Context) *Tenant {
+	if t := FromContext(ctx); t != nil {
+		return t
+	}
+	return r.Default()
+}
