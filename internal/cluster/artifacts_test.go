@@ -39,7 +39,8 @@ func wantMetricLine(t *testing.T, text, line, who string) {
 // coordinator records the stream exactly once, ships the artifact to
 // every worker before dispatch, and no worker ever generates the
 // stream live — every run on every worker replays the shipped
-// recording.
+// recording. A second sweep over the same stream ships nothing: each
+// worker already holds the artifact.
 func TestSweepPreShipsTraceArtifacts(t *testing.T) {
 	workers := make([]*httptest.Server, 2)
 	for i := range workers {
@@ -67,21 +68,24 @@ func TestSweepPreShipsTraceArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		var cur SweepStatus
-		getJSON(t, coordTS.URL+"/v1/sweeps/"+st.ID, &cur)
-		if cur.State == "done" {
-			if cur.Failed != 0 || cur.Done != 3 {
-				t.Fatalf("sweep finished with done=%d failed=%d", cur.Done, cur.Failed)
+	waitDone := func(id string) {
+		deadline := time.Now().Add(120 * time.Second)
+		for {
+			var cur SweepStatus
+			getJSON(t, coordTS.URL+"/v1/sweeps/"+id, &cur)
+			if cur.State == "done" {
+				if cur.Failed != 0 || cur.Done != 3 {
+					t.Fatalf("sweep finished with done=%d failed=%d", cur.Done, cur.Failed)
+				}
+				return
 			}
-			break
+			if time.Now().After(deadline) {
+				t.Fatalf("sweep did not finish: %+v", cur)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep did not finish: %+v", cur)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	waitDone(st.ID)
 
 	// The coordinator recorded the single distinct stream once and
 	// shipped it to both workers.
@@ -95,6 +99,27 @@ func TestSweepPreShipsTraceArtifacts(t *testing.T) {
 	for i, w := range workers {
 		text := metricsOf(t, w.URL)
 		who := "worker " + strings.Repeat("I", i+1)
+		wantMetricLine(t, text, "lvpd_trace_artifact_generated_total 0", who)
+		wantMetricLine(t, text, "lvpd_trace_artifact_received_total 1", who)
+	}
+
+	// The same stream again, with a fresh run seed so every point is
+	// dispatched: nothing is re-shipped, and the workers still replay
+	// the artifact they were given the first time.
+	req.Axes.Seeds = []uint64{2}
+	resp, body = postJSON(t, coordTS.URL+"/v1/sweeps", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second sweep submit: %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(st.ID)
+	coordText = metricsOf(t, coordTS.URL)
+	wantMetricLine(t, coordText, "lvpc_trace_artifacts_shipped_total 2", "coordinator after the second sweep")
+	for i, w := range workers {
+		text := metricsOf(t, w.URL)
+		who := "worker " + strings.Repeat("I", i+1) + " after the second sweep"
 		wantMetricLine(t, text, "lvpd_trace_artifact_generated_total 0", who)
 		wantMetricLine(t, text, "lvpd_trace_artifact_received_total 1", who)
 	}

@@ -30,6 +30,12 @@ type workerError struct{ err error }
 func (e *workerError) Error() string { return e.err.Error() }
 func (e *workerError) Unwrap() error { return e.err }
 
+// maxWorkerBytes bounds what the coordinator reads from a worker in one
+// piece: a response body, or one line (and one event's data) of a job
+// event stream. Anything longer is a misbehaving worker, not a bigger
+// job.
+const maxWorkerBytes = 4 << 20
+
 // apiClient drives one stock lvpd worker through its public HTTP API.
 type apiClient struct {
 	base string
@@ -67,6 +73,25 @@ func errorMessage(body []byte) string {
 	return string(bytes.TrimSpace(body))
 }
 
+// newRequest builds a request to the worker carrying the coordinator's
+// credential, the sweep's tenant attribution, and the caller's trace
+// context (a dispatch span, typically, so the worker's spans join it;
+// a no-op when ctx carries none).
+func (a apiClient) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, a.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if a.apiKey != "" {
+		req.Header.Set("Authorization", "Bearer "+a.apiKey)
+	}
+	if a.tenantName != "" {
+		req.Header.Set("X-Lvpd-Tenant", a.tenantName)
+	}
+	otrace.Inject(req)
+	return req, nil
+}
+
 func (a apiClient) do(ctx context.Context, method, path string, body any) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -76,28 +101,19 @@ func (a apiClient) do(ctx context.Context, method, path string, body any) (int, 
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, rd)
+	req, err := a.newRequest(ctx, method, path, rd)
 	if err != nil {
 		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if a.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+a.apiKey)
-	}
-	if a.tenantName != "" {
-		req.Header.Set("X-Lvpd-Tenant", a.tenantName)
-	}
-	// Propagate the caller's trace (a dispatch span, typically) so the
-	// worker's spans join it; a no-op when ctx carries none.
-	otrace.Inject(req)
 	resp, err := a.hc.Do(req)
 	if err != nil {
 		return 0, nil, &workerError{err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxWorkerBytes))
 	if err != nil {
 		return resp.StatusCode, nil, &workerError{err}
 	}
@@ -108,15 +124,11 @@ func (a apiClient) do(ctx context.Context, method, path string, body any) (int, 
 // content address. Unlike the other calls, the body is the raw encoded
 // artifact, not JSON.
 func (a apiClient) putTrace(ctx context.Context, hash string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, a.base+"/v1/traces/"+hash, bytes.NewReader(data))
+	req, err := a.newRequest(ctx, http.MethodPut, "/v1/traces/"+hash, bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if a.apiKey != "" {
-		req.Header.Set("Authorization", "Bearer "+a.apiKey)
-	}
-	otrace.Inject(req)
 	resp, err := a.hc.Do(req)
 	if err != nil {
 		return &workerError{err}
@@ -154,21 +166,34 @@ func (a apiClient) submitJob(ctx context.Context, req server.JobRequest) (server
 	}
 }
 
-// getJob fetches a job's status from the worker.
-func (a apiClient) getJob(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	code, body, err := a.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+// followJob reads the job's event stream (GET /v1/jobs/{id}/events)
+// until the terminal event and returns the final status, result
+// included. The worker pushes that event the moment the job settles,
+// so the coordinator learns of completion without polling; progress
+// events on the way feed onProgress. Cancelling ctx aborts the read.
+func (a apiClient) followJob(ctx context.Context, id string, onProgress func(*server.ProgressView)) (server.JobStatus, error) {
+	req, err := a.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		return st, err
+		return server.JobStatus{}, err
 	}
-	if code != http.StatusOK {
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := a.hc.Do(req)
+	if err != nil {
+		return server.JobStatus{}, &workerError{err}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
 		// 404 included: a restarted worker forgot the job — re-dispatch.
-		return st, &workerError{fmt.Errorf("job %s lookup returned %d: %s", id, code, errorMessage(body))}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return server.JobStatus{}, &workerError{fmt.Errorf("job %s event stream returned %d: %s", id, resp.StatusCode, errorMessage(body))}
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, &workerError{fmt.Errorf("undecodable job status: %w", err)}
+	st, err := readJobEvents(resp.Body, onProgress)
+	if err == nil {
+		// The worker closes the stream right after the terminal event;
+		// reading the (empty) rest lets the connection be reused.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 	}
-	return st, nil
+	return st, err
 }
 
 // cancelJob best-effort cancels a job the coordinator no longer wants

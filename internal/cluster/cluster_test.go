@@ -26,18 +26,35 @@ func quietLogger() *slog.Logger {
 // front-end while cleanly draining the job engine afterwards).
 func newWorker(t *testing.T) (*httptest.Server, *server.Server) {
 	t.Helper()
-	srv, err := server.New(server.Config{
+	return startWorker(t, workerConfig(), nil)
+}
+
+// workerConfig is the stock test worker's configuration.
+func workerConfig() server.Config {
+	return server.Config{
 		Workers:      2,
 		QueueDepth:   64,
 		CacheSize:    256,
 		DefaultInsts: 20_000,
 		Logger:       quietLogger(),
-	})
+	}
+}
+
+// startWorker starts a worker with cfg over httptest. wrap, when
+// non-nil, sits in front of the worker's handler (request counting,
+// fault injection).
+func startWorker(t *testing.T, cfg server.Config, wrap func(http.Handler) http.Handler) (*httptest.Server, *server.Server) {
+	t.Helper()
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("worker config: %v", err)
 	}
 	srv.Start()
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -48,7 +65,7 @@ func newWorker(t *testing.T) (*httptest.Server, *server.Server) {
 }
 
 // fastConfig returns coordinator knobs scaled for tests: millisecond
-// probe/poll periods and a sub-second quarantine cycle.
+// probe periods and a sub-second quarantine cycle.
 func fastConfig() Config {
 	return Config{
 		DefaultInsts:   20_000,
@@ -57,7 +74,6 @@ func fastConfig() Config {
 		PointRetries:   8,
 		BackoffBase:    5 * time.Millisecond,
 		BackoffMax:     50 * time.Millisecond,
-		PollInterval:   3 * time.Millisecond,
 		HealthInterval: 15 * time.Millisecond,
 		// Generous probe timeout: on a starved single-CPU runner a busy
 		// worker can take hundreds of ms to answer /healthz, and a too-

@@ -170,13 +170,14 @@ func (c *Coordinator) releaseAttempt(att *attempt) bool {
 }
 
 // attemptOnce runs one dispatch attempt end to end: submit the point's
-// canonical spec, then poll the job until it settles, the attempt
-// deadline passes, or the attempt is cancelled. Worker blame
-// (circuit-breaker accounting) is applied here; the caller only
-// classifies the returned error as permanent, stolen, or retryable.
-// The attempt runs inside a "dispatch" span parented on the sweep's
-// root span; the submit POST carries its traceparent, so the worker's
-// job/baseline/run spans join the same trace.
+// canonical spec, then follow the job's event stream until the worker
+// pushes the terminal event, the attempt deadline passes, or the
+// attempt is cancelled. Worker blame (circuit-breaker accounting) is
+// applied here; the caller only classifies the returned error as
+// permanent, stolen, or retryable. The attempt runs inside a
+// "dispatch" span parented on the sweep's root span; the submit POST
+// carries its traceparent, so the worker's job/baseline/run spans join
+// the same trace.
 func (c *Coordinator) attemptOnce(sw *sweep, att *attempt, pt *point) (server.RunResult, error) {
 	ctx, cancel := context.WithTimeout(att.ctx, c.cfg.PointDeadline)
 	defer cancel()
@@ -197,54 +198,56 @@ func (c *Coordinator) attemptOnce(sw *sweep, att *attempt, pt *point) (server.Ru
 		c.classifyAttemptError(att, err)
 		return server.RunResult{}, err
 	}
-	for {
-		switch st.State {
-		case server.StateDone:
-			if st.Result == nil {
-				err := &workerError{fmt.Errorf("job %s done without a result", st.ID)}
-				c.noteWorkerFailure(att.w, err)
-				return server.RunResult{}, err
-			}
-			c.noteWorkerSuccess(att.w, nil)
-			return *st.Result, nil
-		case server.StateFailed, server.StateCanceled:
-			// The worker is healthy — it answered — but the job did not
-			// survive (per-job timeout, local cancel). Retryable
-			// without blaming the worker.
-			return server.RunResult{}, fmt.Errorf("worker %s reported job %s %s: %s", att.w.id, st.ID, st.State, st.Error)
-		}
-		select {
-		case <-ctx.Done():
+	if id := st.ID; !terminalJobState(st.State) {
+		st, err = cl.followJob(ctx, id, func(p *server.ProgressView) {
+			// Re-export the worker's live view through the sweep status.
+			c.mu.Lock()
+			pt.progress = p
+			c.mu.Unlock()
+		})
+		if err != nil && ctx.Err() != nil {
 			// Deadline or steal. Release the worker's slot promptly and
 			// try to stop the abandoned job so the worker does not burn
 			// cycles on a point the coordinator re-dispatched.
-			if st.ID != "" {
-				go func(id string) {
-					bg, bgCancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
-					defer bgCancel()
-					_ = cl.cancelJob(bg, id)
-				}(st.ID)
-			}
+			go func() {
+				bg, bgCancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
+				defer bgCancel()
+				_ = cl.cancelJob(bg, id)
+			}()
 			err := ctx.Err()
 			if !att.stolen && errors.Is(err, context.DeadlineExceeded) {
 				// The worker sat on the job past the attempt deadline.
 				c.noteWorkerFailure(att.w, err)
 			}
 			return server.RunResult{}, fmt.Errorf("attempt on %s aborted: %w", att.w.id, err)
-		case <-time.After(c.cfg.PollInterval):
 		}
-		st, err = cl.getJob(ctx, st.ID)
 		if err != nil {
 			c.classifyAttemptError(att, err)
 			return server.RunResult{}, err
 		}
-		if st.Progress != nil {
-			// Re-export the worker's live view through the sweep status.
-			c.mu.Lock()
-			pt.progress = st.Progress
-			c.mu.Unlock()
-		}
 	}
+	if st.State != server.StateDone {
+		// Failed or canceled: the worker is healthy — it answered — but
+		// the job did not survive (per-job timeout, local cancel).
+		// Retryable without blaming the worker.
+		return server.RunResult{}, fmt.Errorf("worker %s reported job %s %s: %s", att.w.id, st.ID, st.State, st.Error)
+	}
+	if st.Result == nil {
+		err := &workerError{fmt.Errorf("job %s done without a result", st.ID)}
+		c.noteWorkerFailure(att.w, err)
+		return server.RunResult{}, err
+	}
+	c.noteWorkerSuccess(att.w, nil)
+	return *st.Result, nil
+}
+
+// terminalJobState reports whether a worker job state is final.
+func terminalJobState(state string) bool {
+	switch state {
+	case server.StateDone, server.StateFailed, server.StateCanceled:
+		return true
+	}
+	return false
 }
 
 // classifyAttemptError applies circuit-breaker accounting for one

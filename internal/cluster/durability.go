@@ -18,36 +18,34 @@ var errDurability = errors.New("durable store write failed")
 
 // persistSweepStarted records an accepted sweep and its unique points
 // durably; points already answered from the cache at submit are
-// settled in the same breath so a restart does not re-dispatch them.
-// No-op without a data dir. The sweep is not yet published, so its
-// fields are safe to read without the mutex.
+// settled in the same WAL batch so a restart does not re-dispatch
+// them, and a sweep with nothing left to dispatch is closed in it too:
+// one fsync however many points were cached. No-op without a data
+// dir. The sweep is not yet published, so its fields are safe to read
+// without the mutex.
 func (c *Coordinator) persistSweepStarted(sw *sweep) error {
 	if c.st == nil {
 		return nil
 	}
 	pts := make([]store.SweepPoint, 0, len(sw.points))
+	var cached []string
 	for _, pt := range sw.points {
 		raw, err := json.Marshal(pt.sim)
 		if err != nil {
 			return err
 		}
 		pts = append(pts, store.SweepPoint{Hash: pt.hash, Spec: raw, Label: pt.label, Count: pt.count})
-	}
-	if err := c.st.AppendSweepStarted(sw.id, sw.tenant, sw.total, pts); err != nil {
-		return err
-	}
-	for _, pt := range sw.points {
 		if pt.state != PointDone {
 			continue
 		}
+		// Re-archived under this sweep's tenant and trace before the
+		// log calls the point settled, as for a dispatched point.
 		if err := c.warehousePut(sw, pt); err != nil {
 			c.log.Error("warehouse put failed", "sweep", sw.id, "spec", pt.hash, "err", err)
 		}
-		if err := c.st.AppendPointDone(sw.id, pt.hash); err != nil {
-			return err
-		}
+		cached = append(cached, pt.hash)
 	}
-	return nil
+	return c.st.AppendSweepStarted(sw.id, sw.tenant, sw.total, pts, cached, len(cached) == len(sw.points))
 }
 
 // persistPoint records one point settlement (and, when it was the

@@ -254,3 +254,36 @@ func TestCoordinatorAuthAndTenantPropagation(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedResubmitCommitsInOneFsync pins the batched start record: a
+// resubmitted sweep answered entirely from the cache logs its start,
+// its cached settlements and its completion in one WAL fsync.
+func TestCachedResubmitCommitsInOneFsync(t *testing.T) {
+	w, _ := newWorker(t)
+	cfg := fastConfig()
+	cfg.DataDir = t.TempDir()
+	coord, coordTS := newCoordinator(t, cfg)
+	if _, _, err := coord.RegisterWorker(context.Background(), w.URL); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	req := server.SweepRequest{Template: server.JobRequest{Workload: "gcc2k", Predictor: "lvp", Insts: 20_000}}
+	runSweep(t, coord, req)
+	// The dispatched point's settlement appends run on its dispatch
+	// goroutine; let them land before counting.
+	coord.runners.Wait()
+
+	fsyncs := func() float64 {
+		return metricValue(t, metricsOf(t, coordTS.URL), "lvpc_wal_fsync_seconds_count")
+	}
+	before := fsyncs()
+	st, err := coord.StartSweep(context.Background(), req)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if st.State != "done" || st.Cached != 1 {
+		t.Fatalf("resubmit should be answered from the cache: %+v", st)
+	}
+	if got := fsyncs() - before; got != 1 {
+		t.Fatalf("an all-cached sweep cost %v WAL fsyncs, want 1", got)
+	}
+}

@@ -45,6 +45,13 @@ type worker struct {
 	// cancel (steal) them.
 	attempts map[*attempt]struct{}
 
+	// shipped holds the trace artifact keys this worker accepted
+	// (PUT /v1/traces answered 204), so each artifact is shipped to it
+	// once. activateLocked replaces the set on every registration and
+	// reactivation; an upload still in flight from before records into
+	// the discarded set.
+	shipped map[string]struct{}
+
 	mDispatched  *obs.Counter
 	mRetried     *obs.Counter
 	mStolen      *obs.Counter
@@ -113,7 +120,7 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w, ok := c.byURL[base]; ok {
-		w.state = WorkerActive
+		c.activateLocked(w)
 		w.consecFails = 0
 		w.health = h
 		w.lastSeen = time.Now()
@@ -124,7 +131,6 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 	w := &worker{
 		id:         id,
 		url:        base,
-		state:      WorkerActive,
 		registered: time.Now(),
 		lastSeen:   time.Now(),
 		health:     h,
@@ -135,7 +141,7 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 		mStolen:      c.reg.Counter("lvpc_worker_stolen_total", "Points stolen off this worker.", "worker", id),
 		mQuarantine:  c.reg.Counter("lvpc_worker_quarantined_total", "Circuit-open transitions per worker.", "worker", id),
 		mInflight:    c.reg.Gauge("lvpc_worker_inflight", "In-flight dispatches per worker.", "worker", id),
-		mDispatchDur: c.reg.Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through final poll, per worker.", nil, "worker", id),
+		mDispatchDur: c.reg.Histogram("lvpc_worker_dispatch_seconds", "Wall time of one dispatch attempt, submit through terminal event, per worker.", nil, "worker", id),
 	}
 	c.reg.GaugeFunc("lvpc_worker_sim_mips",
 		"Worker-reported simulation throughput (millions of instructions per second).",
@@ -144,6 +150,7 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, rawURL string) (Worker
 			defer c.mu.Unlock()
 			return w.health.SimMIPS
 		}, "worker", id)
+	c.activateLocked(w)
 	c.workers[id] = w
 	c.byURL[base] = w
 	c.log.Info("worker registered", "worker", id, "url", base)
@@ -221,9 +228,18 @@ func (c *Coordinator) noteWorkerSuccess(w *worker, h *server.Health) {
 		w.health = *h
 	}
 	if w.state == WorkerQuarantined {
-		w.state = WorkerActive
+		c.activateLocked(w)
 		c.log.Info("worker reactivated", "worker", w.id, "url", w.url)
 	}
+}
+
+// activateLocked makes w dispatchable and forgets which trace
+// artifacts it holds: a worker that registers (a restarted one re-joins
+// under its old URL) or recovers from quarantine may come back with an
+// empty store, so the next sweep ships to it again. Caller holds c.mu.
+func (c *Coordinator) activateLocked(w *worker) {
+	w.state = WorkerActive
+	w.shipped = make(map[string]struct{})
 }
 
 // noteWorkerFailure is noteWorkerFailureLocked for callers not holding

@@ -54,8 +54,8 @@ type point struct {
 	result   *server.RunResult
 	finished time.Time
 
-	// progress is the latest ProgressView the dispatch poll observed on
-	// the point's worker; re-exported through SweepStatus while the
+	// progress is the latest ProgressView the point's worker streamed
+	// to the dispatch; re-exported through SweepStatus while the
 	// point runs.
 	progress *server.ProgressView
 }
@@ -258,8 +258,8 @@ func (c *Coordinator) StartSweep(ctx context.Context, req server.SweepRequest) (
 	done := sw.terminalLocked() // every point cached at submit
 	c.mu.Unlock()
 	if done {
+		// persistSweepStarted already logged the sweep closed.
 		sw.span.Finish()
-		c.persistSweepDone(sw)
 	}
 	if ctr := c.mTenantSweeps[sw.tenant]; ctr != nil {
 		ctr.Inc()

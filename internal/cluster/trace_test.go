@@ -15,28 +15,12 @@ import (
 )
 
 // newProbedWorker is newWorker with a fast progress cadence so the
-// coordinator's dispatch polls can observe mid-run snapshots.
+// coordinator's dispatch can observe mid-run snapshots.
 func newProbedWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := server.New(server.Config{
-		Workers:          2,
-		QueueDepth:       64,
-		CacheSize:        256,
-		DefaultInsts:     20_000,
-		ProgressInterval: 2048,
-		Logger:           quietLogger(),
-	})
-	if err != nil {
-		t.Fatalf("worker config: %v", err)
-	}
-	srv.Start()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
+	cfg := workerConfig()
+	cfg.ProgressInterval = 2048
+	ts, _ := startWorker(t, cfg, nil)
 	return ts
 }
 

@@ -123,15 +123,28 @@ func (s *Store) AppendJobCanceled(id, specHash string) error {
 }
 
 // AppendSweepStarted records an accepted sweep and its unique points.
-func (s *Store) AppendSweepStarted(id, tenant string, total int, points []SweepPoint) error {
-	return s.wal.Append(Event{Type: EvSweepStarted, Time: time.Now().UTC(),
+// cached lists the hashes of points already settled as done at submit
+// (answered from a cache), and closed marks the sweep done as well,
+// when nothing is left to dispatch. The records go to the log as one
+// batch — one write and one fsync however many points were cached —
+// and a crash mid-batch replays as a prefix of it.
+func (s *Store) AppendSweepStarted(id, tenant string, total int, points []SweepPoint, cached []string, closed bool) error {
+	now := time.Now().UTC()
+	evs := make([]Event, 0, len(cached)+2)
+	evs = append(evs, Event{Type: EvSweepStarted, Time: now,
 		Sweep: &SweepEvent{ID: id, Tenant: tenant, Total: total, Points: points}})
+	for _, hash := range cached {
+		evs = append(evs, pointDone(now, id, hash))
+	}
+	if closed {
+		evs = append(evs, sweepDone(now, id))
+	}
+	return s.wal.Append(evs...)
 }
 
 // AppendPointDone records one sweep point's completion.
 func (s *Store) AppendPointDone(sweepID, hash string) error {
-	return s.wal.Append(Event{Type: EvPointDone, Time: time.Now().UTC(),
-		Sweep: &SweepEvent{ID: sweepID, Hash: hash}})
+	return s.wal.Append(pointDone(time.Now().UTC(), sweepID, hash))
 }
 
 // AppendPointFailed records one sweep point's terminal failure.
@@ -142,6 +155,13 @@ func (s *Store) AppendPointFailed(sweepID, hash, errMsg string) error {
 
 // AppendSweepDone records that every point of a sweep settled.
 func (s *Store) AppendSweepDone(id string) error {
-	return s.wal.Append(Event{Type: EvSweepDone, Time: time.Now().UTC(),
-		Sweep: &SweepEvent{ID: id}})
+	return s.wal.Append(sweepDone(time.Now().UTC(), id))
+}
+
+func pointDone(t time.Time, sweepID, hash string) Event {
+	return Event{Type: EvPointDone, Time: t, Sweep: &SweepEvent{ID: sweepID, Hash: hash}}
+}
+
+func sweepDone(t time.Time, id string) Event {
+	return Event{Type: EvSweepDone, Time: t, Sweep: &SweepEvent{ID: id}}
 }

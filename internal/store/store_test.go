@@ -152,6 +152,81 @@ func TestWALConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestWALBatchOneFsyncCrashPrefix pins the batched append: several
+// events cost one fsync, and a crash anywhere inside the batch (the
+// segment truncated at every byte of it) replays as a prefix of the
+// committed history, never as a reordering or a corrupt record.
+func TestWALBatchOneFsyncCrashPrefix(t *testing.T) {
+	dir := t.TempDir()
+	var fsyncs int
+	w, _, err := OpenWAL(dir, WALOptions{FsyncObserver: func(float64) { fsyncs++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := []Event{jobAccepted("j-000001", "h0")}
+	if err := w.Append(history[0]); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segmentName(1))
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchStart := int(st.Size())
+	batch := []Event{
+		{Type: EvSweepStarted, Sweep: &SweepEvent{ID: "s-0001", Tenant: "default", Total: 2,
+			Points: []SweepPoint{{Hash: "ha", Spec: json.RawMessage(`{}`)}, {Hash: "hb", Spec: json.RawMessage(`{}`)}}}},
+		{Type: EvPointDone, Sweep: &SweepEvent{ID: "s-0001", Hash: "ha"}},
+		{Type: EvPointDone, Sweep: &SweepEvent{ID: "s-0001", Hash: "hb"}},
+		{Type: EvSweepDone, Sweep: &SweepEvent{ID: "s-0001"}},
+	}
+	fsyncs = 0
+	if err := w.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if fsyncs != 1 {
+		t.Fatalf("a %d-event batch cost %d fsyncs, want 1", len(batch), fsyncs)
+	}
+	w.Close()
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := append(history, batch...)
+	want := make([]string, len(committed))
+	for i, ev := range committed {
+		b, _ := json.Marshal(ev)
+		want[i] = string(b)
+	}
+
+	crash := t.TempDir()
+	crashSeg := filepath.Join(crash, segmentName(1))
+	replayed := len(history)
+	for cut := batchStart; cut <= len(full); cut++ {
+		if err := os.WriteFile(crashSeg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, events, err := OpenWAL(crash, WALOptions{})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		w.Close()
+		if len(events) < replayed {
+			t.Fatalf("cut at %d replayed %d events, fewer than the %d of an earlier cut", cut, len(events), replayed)
+		}
+		replayed = len(events)
+		for i, ev := range events {
+			b, _ := json.Marshal(ev)
+			if string(b) != want[i] {
+				t.Fatalf("cut at %d: event %d = %s, want %s", cut, i, b, want[i])
+			}
+		}
+	}
+	if replayed != len(committed) {
+		t.Fatalf("the whole segment replayed %d events, want %d", replayed, len(committed))
+	}
+}
+
 func TestFoldAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -175,7 +250,7 @@ func TestFoldAndCompaction(t *testing.T) {
 	if err := st.AppendSweepStarted("s-0001", "default", 2, []SweepPoint{
 		{Hash: "ha", Spec: json.RawMessage(`{}`)},
 		{Hash: "hb", Spec: json.RawMessage(`{}`)},
-	}); err != nil {
+	}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendPointDone("s-0001", "ha"); err != nil {

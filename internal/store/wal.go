@@ -256,14 +256,28 @@ func frame(ev Event) ([]byte, error) {
 	return buf, nil
 }
 
-// Append writes ev and returns once it is durable (flushed and fsynced).
-// Batches form naturally under concurrency: every appender that arrives
-// while one fsync is in flight is covered by the next, so N concurrent
-// appends cost far fewer than N disk syncs.
-func (w *WAL) Append(ev Event) error {
-	buf, err := frame(ev)
-	if err != nil {
-		return err
+// Append writes evs and returns once they are durable (flushed and
+// fsynced). The events go out as one batch: each stays its own
+// CRC-framed record, so a crash mid-batch replays as a prefix of it,
+// but together they cost one write and one fsync. Batches also form
+// naturally under concurrency: every appender that arrives while one
+// fsync is in flight is covered by the next, so N concurrent appends
+// cost far fewer than N disk syncs.
+func (w *WAL) Append(evs ...Event) error {
+	var buf []byte
+	for _, ev := range evs {
+		rec, err := frame(ev)
+		if err != nil {
+			return err
+		}
+		if buf == nil {
+			buf = rec // the common single-event append copies nothing
+		} else {
+			buf = append(buf, rec...)
+		}
+	}
+	if len(buf) == 0 {
+		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()

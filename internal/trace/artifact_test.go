@@ -347,6 +347,37 @@ func TestArtifactStoreEviction(t *testing.T) {
 	}
 }
 
+// TestArtifactStoreEvict pins explicit eviction: the next request for
+// an evicted recording regenerates it in a memory-only store and
+// reloads it from the cache directory in a disk-backed one.
+func TestArtifactStoreEvict(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := NewArtifactStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := s.Artifact("gcc2k", artTestInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Evict(key)
+		s.Evict(key) // absent: a no-op
+		if _, err := s.Cursor("gcc2k", artTestInsts); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.MemoryHits != 0 {
+			t.Fatalf("dir %q: evicted recording served from memory: %+v", dir, st)
+		}
+		if dir == "" && st.Generated != 2 {
+			t.Fatalf("memory-only store did not regenerate after eviction: %+v", st)
+		}
+		if dir != "" && (st.Generated != 1 || st.DiskHits != 1) {
+			t.Fatalf("disk-backed store did not reload after eviction: %+v", st)
+		}
+	}
+}
+
 func TestArtifactStoreOversizeRefused(t *testing.T) {
 	// Recording is eager and not cancellable, so a workload whose
 	// instruction budget exceeds the resident budget must be refused

@@ -151,6 +151,27 @@ func (s *ArtifactStore) Artifact(name string, insts uint64) (string, []byte, err
 	return rec.key, data, err
 }
 
+// Evict drops the resident recording stored under key, if any. Cursors
+// already handed out keep it alive; a disk copy stays, so a later
+// request reloads it instead of generating. A coordinator, which ships
+// artifacts but never replays them, evicts what it has encoded.
+func (s *ArtifactStore) Evict(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.recs[key]
+	if !ok {
+		return
+	}
+	delete(s.recs, key)
+	s.held -= uint64(rec.rep.Len())
+	for i, k := range s.order {
+		if k == key {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+}
+
 // Export returns the encoded bytes of the artifact stored under key,
 // if present in memory or on disk. Unlike Artifact it never generates:
 // a content address alone does not say which workload to run.
